@@ -85,3 +85,39 @@ pub fn assert_records_equal(a: &RunRecord, b: &RunRecord) {
     );
     assert_eq!(a.param_count, b.param_count);
 }
+
+/// `(cloud, edges)` fingerprints: FNV-1a of the cloud's parameter bits,
+/// and FNV-1a over the per-edge parameter fingerprints in edge order.
+/// Devices are left out so the pair is defined in lazy mode too.
+pub fn model_digests(sim: &Simulation) -> (u64, u64) {
+    let mut edges = 0xcbf29ce484222325u64;
+    for e in sim.edges() {
+        fnv(&mut edges, &fnv_params(&flatten(&e.model)).to_le_bytes());
+    }
+    (fnv_params(&flatten(sim.cloud_model())), edges)
+}
+
+/// FNV-1a of a run record's JSON with host timing stripped: the
+/// wall-clock is zeroed and telemetry is reduced to its deterministic
+/// event counters (phase latencies are host timing).
+pub fn record_digest(record: &RunRecord) -> u64 {
+    let mut clean = record.clone();
+    clean.wall_seconds = 0.0;
+    let counters = clean.telemetry.take().map(|t| t.counters);
+    let mut h = 0xcbf29ce484222325u64;
+    fnv(
+        &mut h,
+        serde_json::to_string(&clean)
+            .expect("record serializes")
+            .as_bytes(),
+    );
+    if let Some(c) = counters {
+        fnv(
+            &mut h,
+            serde_json::to_string(&c)
+                .expect("counters serialize")
+                .as_bytes(),
+        );
+    }
+    h
+}
