@@ -21,8 +21,8 @@
 //!   delta computation and **no** allocation — the simulation is bitwise
 //!   identical to one without the plane (gated by
 //!   `tests/hotpath_equiv.rs`);
-//! * `step` and `step_reference` share the compressed aggregation
-//!   helpers in [`crate::Simulation`], so the two stay interchangeable
+//! * both [`crate::StepMode`]s run the same compressed aggregation and
+//!   sync code in [`crate::Simulation`], so the two stay interchangeable
 //!   under compression.
 //!
 //! Conservation contract: for every coordinate, the transmitted grid

@@ -6,8 +6,8 @@
 //! stay interchangeable with faults enabled.
 
 use middle_core::{
-    Algorithm, DelayModel, DropoutModel, FaultConfig, SimConfig, Simulation, SimulationBuilder,
-    StepCounters, StepMode,
+    Algorithm, DelayModel, DropoutModel, FaultConfig, SimCheckpoint, SimConfig, SimError,
+    Simulation, SimulationBuilder, StepCounters, StepMode,
 };
 use middle_data::Task;
 use middle_nn::params::flatten;
@@ -215,6 +215,44 @@ fn deadline_misses_become_stale_merges_next_step() {
     );
     assert_eq!(comm.stale_uploads, c.stale_merges);
     assert_eq!(c.uploads, comm.device_to_edge);
+}
+
+/// A checkpoint whose queued stale merges do not fit the simulation —
+/// an edge or device out of range, or a snapshot of the wrong length —
+/// must be rejected at restore instead of panicking on the next step's
+/// merge.
+#[test]
+fn restore_rejects_malformed_pending_stale_uploads() {
+    let mut cfg = base_config();
+    cfg.faults.straggler_delay = DelayModel::Uniform {
+        min_s: 2.0,
+        max_s: 2.0,
+    };
+    cfg.faults.deadline_s = 1.0;
+    let mut sim = built(cfg.clone());
+    sim.tick(StepMode::Fast);
+    let json = sim.checkpoint().to_json();
+    let parsed = SimCheckpoint::from_json(&json).expect("checkpoint parses");
+    assert!(!parsed.faults.pending.is_empty(), "no stale upload queued");
+
+    for what in ["edge out of range", "device out of range", "short snapshot"] {
+        let mut ck = parsed.clone();
+        let p = &mut ck.faults.pending[0];
+        match what {
+            "edge out of range" => p.edge = 99,
+            "device out of range" => p.device = 999,
+            _ => p.flat.truncate(3),
+        }
+        let mut fresh = built(cfg.clone());
+        assert!(
+            matches!(fresh.restore(&ck), Err(SimError::CheckpointMismatch { .. })),
+            "{what}: malformed pending stale upload was accepted"
+        );
+    }
+    let mut fresh = built(cfg);
+    fresh
+        .restore(&parsed)
+        .expect("the intact checkpoint still applies");
 }
 
 /// A total WAN outage suppresses every cloud sync: the cloud model

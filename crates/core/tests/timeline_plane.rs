@@ -13,7 +13,7 @@
 use middle_core::timeline::{EventKind, Timeline};
 use middle_core::{
     Algorithm, DelayModel, DropoutModel, ExecutionMode, FaultConfig, LatencyModel, SimCheckpoint,
-    SimConfig, Simulation, SimulationBuilder, StepMode,
+    SimConfig, SimError, Simulation, SimulationBuilder, StepMode,
 };
 use middle_data::Task;
 use proptest::prelude::*;
@@ -332,6 +332,48 @@ fn async_mid_heap_checkpoint_resumes_bitwise_through_json() {
     assert_records_equal(&reference, &resumed);
     assert_eq!(reference.event_seconds, resumed.event_seconds);
     assert_eq!(sim_bits(&straight), sim_bits(&second));
+}
+
+/// Parked async payloads — in-flight uploads and a wave's arrived
+/// snapshots — whose length does not match the model must be rejected
+/// at restore: aggregation would silently truncate them and the late
+/// blend would panic.
+#[test]
+fn restore_rejects_malformed_timeline_snapshots() {
+    let cfg = async_config();
+    let mut sim = built(cfg.clone());
+    for _ in 0..5 {
+        sim.tick(StepMode::Fast);
+    }
+    let parsed = SimCheckpoint::from_json(&sim.checkpoint().to_json()).expect("checkpoint parses");
+    let tck = parsed.timeline.as_ref().expect("event-driven checkpoint");
+    let in_flight = tck
+        .in_flight
+        .iter()
+        .position(Option::is_some)
+        .expect("an upload in flight at the cut");
+    let wave = tck
+        .waves
+        .iter()
+        .position(|w| !w.members.is_empty())
+        .expect("a wave with members at the cut");
+
+    let mut short_in_flight = parsed.clone();
+    let t = short_in_flight.timeline.as_mut().unwrap();
+    t.in_flight[in_flight].as_mut().unwrap().truncate(3);
+    let mut short_wave = parsed.clone();
+    let t = short_wave.timeline.as_mut().unwrap();
+    t.waves[wave].snapshots[0] = Some(vec![0.5; 3]);
+    for (what, ck) in [("in-flight", short_in_flight), ("wave", short_wave)] {
+        let mut fresh = built(cfg.clone());
+        assert!(
+            matches!(fresh.restore(&ck), Err(SimError::CheckpointMismatch { .. })),
+            "{what} snapshot of the wrong length was accepted"
+        );
+    }
+    built(cfg)
+        .restore(&parsed)
+        .expect("the intact checkpoint still applies");
 }
 
 /// A checkpoint without a timeline block must not restore into an
