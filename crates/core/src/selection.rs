@@ -2,7 +2,7 @@
 //!
 //! The hot path is allocation-free: candidate scores come from the
 //! devices' cached flat views ([`crate::device::Device::flat`]) through a
-//! fused identity-based kernel, candidates are scored in parallel into a
+//! fused identity-based kernel, candidates are scored serially into a
 //! caller-owned [`SelectionScratch`], and the top-k cut uses an O(n)
 //! partial partition instead of a full sort. The `*_reference` functions
 //! keep the original allocating implementations as the numerical oracle
@@ -15,7 +15,6 @@ use middle_nn::params::flatten;
 use middle_tensor::ops::{combine_cosine, dot_slices};
 use rand::rngs::StdRng;
 use rand::Rng;
-use rayon::prelude::*;
 
 /// Reusable buffers for [`select_devices_into`]; create once and pass to
 /// every call so steady-state selection performs no heap allocation.
@@ -37,19 +36,19 @@ impl SelectionScratch {
 /// front doors build these from the dense device slice; the lazy
 /// population plane supplies closures that read resident devices or the
 /// shared per-version flats instead. Score functions consume no
-/// randomness and may be called from parallel scoring, hence `Sync`.
+/// randomness.
 pub struct CandidateScorers<'a> {
     /// The MIDDLE update-similarity score `U(w_c, Δw_m)` for device `m`.
-    pub similarity: &'a (dyn Fn(usize) -> f32 + Sync),
+    pub similarity: &'a dyn Fn(usize) -> f32,
     /// The Oort statistical utility for device `m` (`+inf` when the
     /// device has never trained).
-    pub oort: &'a (dyn Fn(usize) -> f32 + Sync),
+    pub oort: &'a dyn Fn(usize) -> f32,
     /// The loss-ranked cluster of device `m`, supplied by a
     /// cluster-carrying [`crate::algorithms::AlgorithmPolicy`] when the
     /// policy is [`SelectionPolicy::ClusterGuided`]. `None` collapses
     /// every candidate into one cluster, degrading cluster-guided
     /// selection to a plain Oort-utility top-k.
-    pub cluster: Option<&'a (dyn Fn(usize) -> u32 + Sync)>,
+    pub cluster: Option<&'a dyn Fn(usize) -> u32>,
 }
 
 /// Selects up to `k` devices from `candidates` (indices into `devices`)
@@ -121,7 +120,7 @@ pub fn select_devices_into(
 }
 
 /// Population-agnostic core of [`select_devices_into`]: identical rng
-/// stream, parallel scoring and top-k cut, with candidate scores coming
+/// stream, scoring and top-k cut, with candidate scores coming
 /// from caller-supplied [`CandidateScorers`] instead of a dense
 /// `&[Device]` slice.
 pub fn select_devices_scored(
@@ -143,32 +142,34 @@ pub fn select_devices_scored(
         sample_without_replacement_into(candidates, k, rng, out);
         return;
     }
-    // Tie-break keys are drawn serially in candidate order so the rng
-    // stream matches the reference implementation exactly; scores are
-    // then filled in parallel (score functions consume no randomness).
+    // Tie-break keys are drawn in candidate order so the rng stream
+    // matches the reference implementation exactly. Scoring is serial
+    // too: a per-candidate score is a cached-norm dot product or a stub
+    // lookup, cheaper than a fork-join, and selection runs once per edge
+    // per step (score functions consume no randomness).
     let scored = &mut scratch.scored;
     scored.clear();
     scored.extend(candidates.iter().map(|&m| (0.0f32, rng.gen::<u32>(), m)));
     match policy {
         SelectionPolicy::Random => unreachable!("handled above"),
         SelectionPolicy::LeastSimilarUpdate => {
-            scored.par_iter_mut().for_each(|slot| {
+            for slot in scored.iter_mut() {
                 slot.0 = -(scorers.similarity)(slot.2);
-            });
+            }
         }
         SelectionPolicy::MostSimilarUpdate => {
-            scored.par_iter_mut().for_each(|slot| {
+            for slot in scored.iter_mut() {
                 slot.0 = (scorers.similarity)(slot.2);
-            });
+            }
         }
         // Never-trained devices get +inf utility: Oort-style
         // exploration of fresh clients, required here because moved
         // devices have no history at the new edge. Cluster-guided
         // selection ranks by the same utility within each cluster.
         SelectionPolicy::OortUtility | SelectionPolicy::ClusterGuided { .. } => {
-            scored.par_iter_mut().for_each(|slot| {
+            for slot in scored.iter_mut() {
                 slot.0 = (scorers.oort)(slot.2);
-            });
+            }
         }
     }
     if matches!(policy, SelectionPolicy::ClusterGuided { .. }) {
@@ -336,7 +337,7 @@ fn top_k_into(scored: &mut [(f32, u32, usize)], k: usize, out: &mut Vec<usize>) 
 /// MIDDLE hot path).
 fn cluster_round_robin_into(
     scored: &mut [(f32, u32, usize)],
-    cluster: Option<&(dyn Fn(usize) -> u32 + Sync)>,
+    cluster: Option<&dyn Fn(usize) -> u32>,
     k: usize,
     out: &mut Vec<usize>,
 ) {
@@ -346,7 +347,7 @@ fn cluster_round_robin_into(
     };
     scored.sort_unstable_by(cmp);
     let single = |_: usize| 0u32;
-    let cluster: &(dyn Fn(usize) -> u32 + Sync) = match cluster {
+    let cluster: &dyn Fn(usize) -> u32 = match cluster {
         Some(c) => c,
         None => &single,
     };

@@ -665,10 +665,14 @@ fn io_err(path: &Path, e: std::io::Error) -> SimError {
 
 /// Writes `contents` to `path` atomically (tmp file + rename), so a
 /// kill mid-write never leaves a truncated state file behind. The tmp
-/// name embeds the pid: fleet processes sharing a directory must never
-/// interleave writes into one tmp file.
+/// name embeds the pid and a per-process sequence number: fleet workers
+/// sharing a directory — processes, or threads of one process — must
+/// never interleave writes into one tmp file, or one worker's rename
+/// finds its tmp file already moved away by another's.
 fn write_atomic(path: &Path, contents: &str) -> Result<(), SimError> {
-    let tmp = path.with_extension(format!("json.tmp.{}", std::process::id()));
+    static SEQ: AtomicUsize = AtomicUsize::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_extension(format!("json.tmp.{}.{seq}", std::process::id()));
     fs::write(&tmp, contents).map_err(|e| io_err(&tmp, e))?;
     fs::rename(&tmp, path).map_err(|e| io_err(path, e))?;
     Ok(())

@@ -11,14 +11,17 @@ use middle_core::selection::{
 };
 use middle_core::similarity::similarity_utility;
 use middle_core::{
-    Algorithm, Device, SelectionPolicy, SimConfig, Simulation, SimulationBuilder, StepMode,
+    Algorithm, Device, PopulationMode, SelectionPolicy, SimConfig, Simulation, SimulationBuilder,
+    StepMode,
 };
 use middle_data::synthetic::{SyntheticSource, Task};
-use middle_data::Task as DataTask;
+use middle_data::{Confusion, Task as DataTask};
+use middle_nn::loss::softmax_cross_entropy;
 use middle_nn::params::{flatten, unflatten, weighted_average, weighted_average_into};
 use middle_nn::{zoo, Sequential};
 use middle_tensor::ops::{cosine_similarity_slices, dot3_slices, dot_slices};
 use middle_tensor::random::rng;
+use middle_tensor::reduce::argmax_rows;
 use proptest::prelude::*;
 
 mod common;
@@ -605,4 +608,72 @@ fn lossy_compression_with_all_faults_is_bitwise_identical_to_reference() {
     assert_eq!(fast.syncs(), slow.syncs());
     assert_eq!(fast.comm_stats(), slow.comm_stats());
     assert_eq!(fast.active_steps(), slow.active_steps());
+}
+
+/// `(accuracy, loss, confusion)` from one allocating `infer` pass over
+/// the whole test set — the oracle for the row-chunked `evaluate`.
+fn single_pass_eval(sim: &Simulation, model: &Sequential) -> (f32, f32, Confusion) {
+    let test = sim.test_set();
+    let logits = model.infer(test.inputs());
+    let loss = softmax_cross_entropy(&logits, test.labels()).0;
+    let conf = Confusion::from_predictions(test.labels(), &argmax_rows(&logits), test.classes());
+    (conf.accuracy(), loss, conf)
+}
+
+/// `evaluate` runs inference on one contiguous row chunk per pool
+/// thread. The concatenated logits must be bitwise those of one pass
+/// over the whole test set: with a single row, with fewer rows than
+/// threads, with uneven chunks, through the edge and per-class
+/// evaluation paths, and in a lazy population.
+#[test]
+fn chunked_evaluation_matches_a_single_inference_pass() {
+    for (test_samples, population) in [
+        (1, PopulationMode::Dense),
+        (2, PopulationMode::Dense),
+        (3, PopulationMode::Lazy),
+        (401, PopulationMode::Dense),
+        (401, PopulationMode::Lazy),
+    ] {
+        let mut cfg = SimConfig::tiny(DataTask::Mnist, Algorithm::middle());
+        cfg.test_samples = test_samples;
+        cfg.eval_edges = true;
+        cfg.eval_per_class = true;
+        cfg.population = population;
+        let mut sim = built(cfg);
+        let record = sim.run();
+        let case = format!("{test_samples} test samples, {population:?}");
+
+        let global = sim.virtual_global();
+        let (acc, loss, conf) = sim.evaluate(&global);
+        let (ref_acc, ref_loss, ref_conf) = single_pass_eval(&sim, &global);
+        assert_eq!(acc.to_bits(), ref_acc.to_bits(), "{case}: accuracy");
+        assert_eq!(loss.to_bits(), ref_loss.to_bits(), "{case}: loss");
+        assert_eq!(conf, ref_conf, "{case}: confusion");
+
+        // The run's last point evaluated this same final state.
+        let last = record.points.last().expect("the final step is evaluated");
+        assert_eq!(last.global_accuracy.to_bits(), ref_acc.to_bits(), "{case}");
+        assert_eq!(last.global_loss.to_bits(), ref_loss.to_bits(), "{case}");
+        assert_eq!(
+            last.global_per_class,
+            ref_conf.per_class_accuracy(),
+            "{case}"
+        );
+        assert_eq!(last.edge_accuracy.len(), sim.edges().len(), "{case}");
+        for (n, edge) in sim.edges().iter().enumerate() {
+            let (edge_acc, _, edge_conf) = single_pass_eval(&sim, &edge.model);
+            assert_eq!(
+                last.edge_accuracy[n].to_bits(),
+                edge_acc.to_bits(),
+                "{case}: edge {n}"
+            );
+            if n == 0 {
+                assert_eq!(
+                    last.edge0_per_class,
+                    edge_conf.per_class_accuracy(),
+                    "{case}"
+                );
+            }
+        }
+    }
 }

@@ -9,8 +9,17 @@
 //! thread pool (`available_parallelism() - 1` workers; the calling
 //! thread always runs one chunk itself). Items are split into one
 //! contiguous chunk per thread, which matches how the workspace uses
-//! rayon: many same-sized units of work with no nested parallelism.
+//! rayon: many same-sized units of work.
+//!
+//! **The outermost `par_*` call owns the pool.** Every `par_*` call made
+//! inside a parallel region — on a pool worker or on the caller while it
+//! runs its own chunk — runs inline on that thread. There is no work
+//! stealing, so a nested fork could only queue behind the outer chunks
+//! that already occupy the workers; and for the same reason uneven
+//! nested work cannot rebalance, so the outer loop should split the
+//! work evenly.
 
+use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Condvar, Mutex, OnceLock};
@@ -29,11 +38,19 @@ pub mod prelude {
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 thread_local! {
-    /// True on pool worker threads. Nested parallel calls run inline on
-    /// the worker instead of re-entering the pool — without
-    /// work-stealing, a worker waiting on an inner fork-join could
+    /// True while this thread runs a task of a parallel region: always on
+    /// pool workers, and on the calling thread while it runs its inline
+    /// chunk. Nested parallel calls then run inline instead of
+    /// re-entering the pool — without work stealing, an inner fork-join
+    /// would wait behind the outer chunks on the workers, and could
     /// deadlock once every worker does the same.
-    static IS_POOL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    static IN_PARALLEL_REGION: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Number of threads a top-level parallel call splits its items across:
+/// the pool workers plus the calling thread.
+pub fn current_num_threads() -> usize {
+    pool().workers + 1
 }
 
 struct Pool {
@@ -56,7 +73,7 @@ fn pool() -> &'static Pool {
             std::thread::Builder::new()
                 .name(format!("shim-rayon-{i}"))
                 .spawn(move || {
-                    IS_POOL_WORKER.with(|w| w.set(true));
+                    IN_PARALLEL_REGION.set(true);
                     loop {
                         let job = match rx.lock() {
                             Ok(guard) => guard.recv(),
@@ -123,7 +140,7 @@ fn run_tasks(tasks: Vec<Box<dyn FnOnce() + Send + '_>>) {
     if n == 0 {
         return;
     }
-    if n == 1 || IS_POOL_WORKER.with(|w| w.get()) {
+    if n == 1 || IN_PARALLEL_REGION.get() {
         for task in tasks {
             task();
         }
@@ -156,7 +173,12 @@ fn run_tasks(tasks: Vec<Box<dyn FnOnce() + Send + '_>>) {
             .send(wrapped)
             .expect("pool workers alive");
     }
+    // The caller's own chunk is inside the region too. It cannot have
+    // been inside one before (that returned above), and its panic is
+    // caught, so resetting to false always restores the previous value.
+    IN_PARALLEL_REGION.set(true);
     let inline_result = catch_unwind(AssertUnwindSafe(first));
+    IN_PARALLEL_REGION.set(false);
     latch.wait();
     if let Err(payload) = inline_result {
         resume_unwind(payload);
@@ -219,7 +241,7 @@ impl<I: Send> ParIter<I> {
     where
         F: Fn(I) + Sync,
     {
-        let threads = pool().workers + 1;
+        let threads = current_num_threads();
         if self.items.len() <= 1 || threads == 1 {
             for item in self.items {
                 f(item);
@@ -267,7 +289,7 @@ impl<I: Send, F> ParMap<I, F> {
         O: Send,
         F: Fn(I) -> O + Sync,
     {
-        let threads = pool().workers + 1;
+        let threads = current_num_threads();
         if self.items.len() <= 1 || threads == 1 {
             return self.items.into_iter().map(self.f).collect();
         }
@@ -423,6 +445,46 @@ mod tests {
         items.par_iter().for_each(|&i| {
             assert!(i < 63, "boom");
         });
+    }
+
+    #[test]
+    fn nested_calls_run_inline_on_the_outer_items_thread() {
+        // Every inner chunk must run on the thread that runs its outer
+        // item — on the workers and on the caller's own chunk alike.
+        let items: Vec<usize> = (0..8).collect();
+        let mismatches = AtomicUsize::new(0);
+        items.par_iter().for_each(|_| {
+            let outer = std::thread::current().id();
+            let mut inner = vec![0u8; 64];
+            inner.par_chunks_mut(4).for_each(|chunk| {
+                chunk.fill(1);
+                if std::thread::current().id() != outer {
+                    mismatches.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+            assert!(inner.iter().all(|&x| x == 1));
+        });
+        assert_eq!(mismatches.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn a_panic_in_the_callers_chunk_leaves_the_region() {
+        let items: Vec<usize> = (0..64).collect();
+        // Item 0 is in the first chunk, which the caller runs inline.
+        let result = std::panic::catch_unwind(|| {
+            items.par_iter().for_each(|&i| assert!(i != 0, "caller chunk"));
+        });
+        assert!(result.is_err(), "the inline panic must propagate");
+        // A fresh top-level call must fork again: its last chunk goes to
+        // the pool.
+        let pooled = AtomicUsize::new(0);
+        items.par_iter().for_each(|_| {
+            let name = std::thread::current().name().map(str::to_owned);
+            if name.is_some_and(|n| n.starts_with("shim-rayon-")) {
+                pooled.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        assert!(pooled.load(Ordering::Relaxed) > 0, "no work reached the pool");
     }
 
     #[test]

@@ -5,13 +5,15 @@
 //! `ikj` ordering so the innermost loop streams contiguously over a row of
 //! `B` and a row of `C`, which vectorises well; the work is split across
 //! threads by row blocks of `C` with `par_chunks_mut`, so each thread owns a
-//! disjoint output slice (data-race freedom by construction).
+//! disjoint output slice (data-race freedom by construction). Inside an
+//! outer parallel loop — the simulator's device fan-out — the split runs
+//! inline on the calling thread: the outermost `par_*` call owns the pool.
 
 use crate::tensor::Tensor;
 use rayon::prelude::*;
 
-/// Rows-per-task granularity for the parallel split. Small enough to load
-/// balance 100-device simulations, large enough to amortise task overhead.
+/// Rows per output block of the parallel split, large enough to amortise
+/// the per-block overhead.
 const ROW_BLOCK: usize = 16;
 
 /// Below this many multiply-adds the parallel split costs more than it

@@ -3,9 +3,9 @@
 #
 #   scripts/check.sh           # everything
 #   scripts/check.sh --fast    # skip the release build and perf gates
-#   scripts/check.sh --ci      # everything + example builds, doc lints,
-#                              # bench smoke runs, fleet smoke, bench
-#                              # regression gate
+#   scripts/check.sh --ci      # everything + example and benchmark
+#                              # builds, doc lints, bench smoke runs,
+#                              # fleet smoke, bench regression gate
 #
 # Flags combine (e.g. `--fast --ci` runs the CI extras without the
 # release build); unknown flags are rejected. Run from anywhere; the
@@ -17,7 +17,7 @@ cd "$(dirname "$0")/.."
 usage() {
     echo "usage: scripts/check.sh [--fast] [--ci]" >&2
     echo "  --fast  skip the release build and perf gates" >&2
-    echo "  --ci    add example builds, doc lints, bench smoke runs," >&2
+    echo "  --ci    add example and benchmark builds, doc lints, bench smoke runs," >&2
     echo "          the fleet smoke and the bench regression gate" >&2
 }
 
@@ -53,6 +53,11 @@ fi
 if [[ "$CI" -eq 1 ]]; then
     echo "==> cargo build --release --examples"
     cargo build --release --examples
+
+    # perfbench/ is its own workspace, so the builds above skip it; a
+    # public-API change that breaks the benchmark must fail here.
+    echo "==> build the benchmark (perfbench/)"
+    cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 fi
 
 # --workspace matters: a bare `cargo test` only runs the root facade
